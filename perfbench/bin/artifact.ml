@@ -91,15 +91,14 @@ let plan_cache g =
   | Some c -> c
   | None -> die "artifact %s has no plan cache" name
 
-type setup = {
+type timings = {
   total_s : float;
   load_s : float;  (** registry open + resolve *)
   compile_s : float;  (** Plan.plan on first sight of the batch shape *)
   warm_s : float;  (** first Plan.execute *)
-  answer_ok : bool;
-  plan : Plan.t;
-  cache : Plan.cache;
 }
+
+type setup = { timings : timings; answer_ok : bool; plan : Plan.t; cache : Plan.cache }
 
 (* One offline set-up: open the registry, compile the batch plan, run the
    warm batch and check it against its reference. *)
@@ -124,10 +123,8 @@ let setup_offline ~dir ~warm ~warm_ref spans =
   let answer_ok = same_bits y.Tensor.data warm_ref.Tensor.data in
   let t4 = now () in
   {
-    total_s = t4 -. t0;
-    load_s = t1 -. t0;
-    compile_s = t2 -. t1;
-    warm_s = t3 -. t2;
+    timings =
+      { total_s = t4 -. t0; load_s = t1 -. t0; compile_s = t2 -. t1; warm_s = t3 -. t2 };
     answer_ok;
     plan;
     cache;

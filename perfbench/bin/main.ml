@@ -49,8 +49,14 @@ let knobs =
     "TWQ_FAULT_SPEC"; "TWQ_NUM_DOMAINS";
   ]
 
-(* Set-up is repeated and its median reported. *)
-let setup_reps = 5
+(* Set-up is repeated and its median reported; each set-up is followed
+   by a few host-speed probes.  A fleet set-up takes a few tens of
+   milliseconds, an offline one about half a second. *)
+let setup_reps ~serve = if serve then 25 else 15
+let setup_probes = 3
+
+(* Host-speed probes after each offline batch: about 8% of the phase. *)
+let batch_probes = 2
 
 (* Offline inputs cycle through a few seeded batches, so that every timed
    batch can be checked against a reference computed once per batch. *)
@@ -69,6 +75,9 @@ let offline_limit = 2.0
 (* Replies checked against the reference per open-loop phase. *)
 let serve_sample = 200
 
+(* How long the traced serve-fleet run times its batch-8 plan alone. *)
+let serve_plan_s = 2.
+
 (* Closed-loop round-trip probes per path; offline workloads probe with
    every image of their input pool. *)
 let serve_probes = 200
@@ -81,6 +90,8 @@ let count c ok =
   if not ok then c.failed <- c.failed + 1
 
 type metric = Perfbench.Report.metric
+
+module Hostspeed = Perfbench.Hostspeed
 
 let m name value unit : metric = { Perfbench.Report.name; value; unit }
 let ms s = s *. 1e3
@@ -101,14 +112,21 @@ let p50_ms l = p50 (List.map ms l)
 let tail_ms l = snd (Pstats.tail (sorted (List.map ms l)) ~want:99.)
 let sum l = List.fold_left ( +. ) 0. l
 
-(* Operation latency: the median and the tail, the highest percentile up
-   to p99 that the sample supports.  Both are printed and recorded but
-   not gated — see README.md, "Noise". *)
-let latency_metrics lat_s =
+(* The end-to-end metrics: the gated ones from the values the workload
+   computed, and operation latency — the median and the tail, the highest
+   percentile up to p99 that the sample supports — as measured, printed
+   and recorded but not gated (see README.md, "Noise"). *)
+let end_to_end ~setup_s ~images_per_s ~lat_s ~slo =
   let a = sorted (List.map ms lat_s) in
   let p, tail = Pstats.tail a ~want:99. in
   let p50 = Pstats.percentile a 50. in
-  ( [ m "latency_p50_ms" p50 "ms"; m "latency_p99_ms" tail "ms" ],
+  ( [
+      m "setup_s" setup_s "s";
+      m "images_per_s" images_per_s "img/s";
+      m "slo_attained" slo "share";
+      m "peak_rss_mb" (peak_rss_mb ()) "MB";
+    ],
+    [ m "latency_p50_ms" p50 "ms"; m "latency_p99_ms" tail "ms" ],
     [
       ("latency_samples", Json.Num (float_of_int (Array.length a)));
       ("latency_p50_ms", Json.Num p50);
@@ -116,25 +134,67 @@ let latency_metrics lat_s =
       ("latency_tail_percentile", Json.Num p);
     ] )
 
+(* Set-up, [reps] times.  Each set-up is followed by host probes
+   that restate its time at reference speed, and all but the last are
+   released before the next starts, so that one set-up's state is live
+   when the measured phase begins.  [sample s] is what the caller keeps
+   of each; [total] reads the set-up time from it. *)
+type ('a, 'b) setups = {
+  last : 'a;
+  samples : 'b list;
+  setup_s : float;  (** median set-up time at reference speed *)
+  raw_setup_s : float;  (** median set-up time as measured *)
+  setup_slowdown : float;  (** median host slowdown after a set-up *)
+}
+
+let repeat_setup ~reps ~setup ~release ~ok ~sample ~total counts =
+  let rec go r acc =
+    let s = setup () in
+    let slow = Hostspeed.slowdown (Hostspeed.probes setup_probes) in
+    count counts (ok s);
+    let acc = (sample s, slow) :: acc in
+    if r + 1 < reps then (
+      release s;
+      go (r + 1) acc)
+    else
+      {
+        last = s;
+        samples = List.rev_map fst acc;
+        setup_s = Pstats.median (List.map (fun (x, slow) -> total x /. slow) acc);
+        raw_setup_s = Pstats.median (List.map (fun (x, _) -> total x) acc);
+        setup_slowdown = Pstats.median (List.map snd acc);
+      }
+  in
+  go 0 []
+
+let setup_notes st =
+  [
+    ("setup_reps", Json.Num (float_of_int (List.length st.samples)));
+    ("raw_setup_s", Json.Num st.raw_setup_s);
+    ("setup_host_slowdown", Json.Num st.setup_slowdown);
+  ]
+
 (* ------------------------------------------------------------ offline *)
 
 type offline_phase = {
   lat : float array;  (** Plan.execute per batch, seconds, in run order *)
-  slot : float array;  (** batch start to the next batch's start *)
+  slot : float array;  (** batch start to the end of its bookkeeping *)
   ok : bool array;
   alloc : float array;  (** minor words allocated inside Plan.execute *)
-  wall : float;
+  busy : float;  (** wall time of the phase minus the host probes *)
+  slowdown : float;  (** host slowdown over the phase *)
 }
 
-(* Batches back to back for [seconds], cycling through the input pool;
-   every output is compared with its reference after the clock stops. *)
+(* Batches back to back for [seconds], cycling through the input pool,
+   each followed by [batch_probes] host-speed probes; every output is compared with
+   its reference after the clock stops. *)
 let measure_offline plan pool refs ~seconds ~spans_for =
-  let lat = ref [] and starts = ref [] and outs = ref [] and alloc = ref [] in
+  let lat = ref [] and slot = ref [] and outs = ref [] and alloc = ref [] in
+  let probes = ref [] in
   let t_start = now () in
   let i = ref 0 in
   while now () -. t_start < seconds do
     let k = !i mod Array.length pool in
-    starts := now () :: !starts;
     let m0 = Gc.minor_words () in
     let t0 = now () in
     let y = Plan.execute plan pool.(k) in
@@ -143,23 +203,23 @@ let measure_offline plan pool refs ~seconds ~spans_for =
     ignore (Spans.record (spans_for !i) ~req:!i "nn.plan.execute" ~t0 ~t1);
     lat := (t1 -. t0) :: !lat;
     outs := (k, y) :: !outs;
+    slot := (now () -. t0) :: !slot;
+    probes := Hostspeed.probes batch_probes @ !probes;
     incr i
   done;
-  let t_end = now () in
-  let starts = Array.of_list (List.rev !starts) in
-  let n = Array.length starts in
+  let wall = now () -. t_start in
+  let of_list l = Array.of_list (List.rev l) in
   {
-    lat = Array.of_list (List.rev !lat);
-    slot =
-      Array.init n (fun j ->
-          (if j + 1 < n then starts.(j + 1) else t_end) -. starts.(j));
+    lat = of_list !lat;
+    slot = of_list !slot;
     ok =
       Array.of_list
         (List.rev_map
            (fun (k, (y : Tensor.t)) -> same_bits y.Tensor.data refs.(k).Tensor.data)
            !outs);
-    alloc = Array.of_list (List.rev !alloc);
-    wall = t_end -. t_start;
+    alloc = of_list !alloc;
+    busy = wall -. sum !probes;
+    slowdown = Hostspeed.slowdown !probes;
   }
 
 (* ------------------------------------------------------------- serving *)
@@ -369,12 +429,16 @@ let run_offline (w : workload) ~seed ~seconds ~trace ~run_dir =
         ( Artifact.reference ~dense_oracle ex.Artifact.graph warm,
           Array.map (Artifact.reference ~dense_oracle ex.Artifact.graph) pool ))
   in
-  let setups =
-    List.init setup_reps (fun _ -> Artifact.setup_offline ~dir ~warm ~warm_ref spans)
+  let st =
+    repeat_setup counts ~reps:(setup_reps ~serve:false)
+      ~setup:(fun () -> Artifact.setup_offline ~dir ~warm ~warm_ref spans)
+      ~release:ignore
+      ~ok:(fun s -> s.Artifact.answer_ok)
+      ~sample:(fun s -> s.Artifact.timings)
+      ~total:(fun t -> t.Artifact.total_s)
   in
-  List.iter (fun s -> count counts s.Artifact.answer_ok) setups;
-  let last = List.nth setups (setup_reps - 1) in
-  Gc.full_major ();
+  let last = st.last in
+  Gc.compact ();
   let ph =
     measure_offline last.Artifact.plan pool refs ~seconds ~spans_for:(recorder ~trace spans)
   in
@@ -385,30 +449,29 @@ let run_offline (w : workload) ~seed ~seconds ~trace ~run_dir =
       (List.filter Fun.id
          (List.mapi (fun i l -> ph.ok.(i) && l <= offline_limit) (Array.to_list ph.lat)))
   in
-  let latency, lat_notes = latency_metrics (Array.to_list ph.lat) in
-  let e2e =
-    [
-      m "setup_s" (Pstats.median (List.map (fun s -> s.Artifact.total_s) setups)) "s";
-      m "images_per_s" (float_of_int (n * Artifact.batch) /. ph.wall) "img/s";
-      m "slo_attained" (float_of_int within /. float_of_int n) "share";
-      m "peak_rss_mb" (peak_rss_mb ()) "MB";
-    ]
+  let raw_images_per_s = float_of_int (n * Artifact.batch) /. ph.busy in
+  let e2e, latency, e2e_notes =
+    end_to_end ~setup_s:st.setup_s ~images_per_s:(raw_images_per_s *. ph.slowdown)
+      ~lat_s:(Array.to_list ph.lat)
+      ~slo:(float_of_int within /. float_of_int n)
   in
   let notes =
     ("operation", Json.Str "one batch of 8 images")
     :: ("latency_limit_ms", Json.Num (ms offline_limit))
-    :: lat_notes
+    :: ("host_slowdown", Json.Num ph.slowdown)
+    :: ("raw_images_per_s", Json.Num raw_images_per_s)
+    :: (e2e_notes @ setup_notes st)
   in
   if not trace then { e2e; latency; layers = []; counts; notes; spans; coverage = 0. }
   else begin
-    let median_of f = Pstats.median (List.map f setups) in
+    let median_of f = Pstats.median (List.map f st.samples) in
     let execute_ms = p50_ms (traced_half ph.lat) in
     let coverage = sum (traced_half ph.lat) /. sum (traced_half ph.slot) in
     let compute =
       plan_layers ~ex ~prune_s:(prune_seconds ex spans) ~execute_ms
-        ~load_s:(median_of (fun s -> s.Artifact.load_s))
-        ~compile_s:(median_of (fun s -> s.Artifact.compile_s))
-        ~warm_s:(median_of (fun s -> s.Artifact.warm_s))
+        ~load_s:(median_of (fun t -> t.Artifact.load_s))
+        ~compile_s:(median_of (fun t -> t.Artifact.compile_s))
+        ~warm_s:(median_of (fun t -> t.Artifact.warm_s))
         ~alloc_words:(Pstats.median (traced_half ph.alloc))
         last.Artifact.plan last.Artifact.cache
     in
@@ -497,16 +560,17 @@ let run_serve (w : workload) ~seed ~seconds ~trace ~run_dir =
         row y 0)
   in
   let check i logits = Option.map (same_bits logits) (Hashtbl.find_opt refs i) in
-  let setups =
-    List.init setup_reps (fun r ->
-        let s = Fleet.setup ~dir ~run_dir ~seed ~warm ~warm_ref spans in
-        if r < setup_reps - 1 then Fleet.stop s.Fleet.fleet;
-        s)
+  let st =
+    repeat_setup counts ~reps:(setup_reps ~serve:true)
+      ~setup:(fun () -> Fleet.setup ~dir ~run_dir ~seed ~warm ~warm_ref spans)
+      ~release:(fun s -> Fleet.stop s.Fleet.fleet)
+      ~ok:(fun s -> s.Fleet.answer_ok)
+      ~sample:(fun s -> s.Fleet.total_s)
+      ~total:Fun.id
   in
-  List.iter (fun s -> count counts s.Fleet.answer_ok) setups;
-  let f = (List.nth setups (setup_reps - 1)).Fleet.fleet in
+  let f = st.last.Fleet.fleet in
   Fun.protect ~finally:(fun () -> Fleet.stop f) @@ fun () ->
-  Gc.full_major ();
+  Gc.compact ();
   let c0 = fleet_counters f in
   let replies, wall =
     Fleet.open_loop ~path:f.Fleet.router_sock ~connections ~inputs ~offsets
@@ -514,14 +578,11 @@ let run_serve (w : workload) ~seed ~seconds ~trace ~run_dir =
   in
   let c1 = fleet_counters f in
   tally counts check replies;
-  let latency, lat_notes = latency_metrics (latencies replies) in
-  let e2e =
-    [
-      m "setup_s" (Pstats.median (List.map (fun s -> s.Fleet.total_s) setups)) "s";
-      m "images_per_s" (float_of_int (List.length (answered replies)) /. wall) "img/s";
-      m "slo_attained" (slo_share check replies ~limit:serve_slo) "share";
-      m "peak_rss_mb" (peak_rss_mb ()) "MB";
-    ]
+  let e2e, latency, e2e_notes =
+    end_to_end ~setup_s:st.setup_s
+      ~images_per_s:(float_of_int (List.length (answered replies)) /. wall)
+      ~lat_s:(latencies replies)
+      ~slo:(slo_share check replies ~limit:serve_slo)
   in
   let notes =
     [
@@ -531,7 +592,7 @@ let run_serve (w : workload) ~seed ~seconds ~trace ~run_dir =
       ("latency_limit_ms", Json.Num (ms serve_slo));
       ("checked_sample", Json.Num (float_of_int (Array.length sample)));
     ]
-    @ lat_notes
+    @ e2e_notes @ setup_notes st
   in
   if not trace then { e2e; latency; layers = []; counts; notes; spans; coverage = 0. }
   else begin
@@ -547,41 +608,30 @@ let run_serve (w : workload) ~seed ~seconds ~trace ~run_dir =
       p50_ms (List.map overall (traced_half replies))
       -. p50_ms (List.map overall (untraced_half replies))
     in
-    (* The plan itself, outside the fleet: load, compile and warm the
-       batch-8 plan the batcher forms under load, then run it back to
-       back on the workload's inputs. *)
-    let g, load_s =
-      Spans.with_span spans "serve.registry.load" (fun _ ->
-          timed (fun () -> Artifact.load_graph ~dir))
-    in
-    let cache = Artifact.plan_cache g in
-    let batches =
-      Array.init (n / Artifact.batch) (fun b ->
+    (* The plan itself, outside the fleet: set up the batch-8 plan the
+       batcher forms under load, then run it back to back on batches of
+       the workload's own inputs, each checked against the interpreter. *)
+    let pool =
+      Array.init pool_batches (fun b ->
           stack (Array.sub inputs (b * Artifact.batch) Artifact.batch))
     in
-    let plan, compile_s =
-      Spans.with_span spans "nn.plan.compile" (fun _ ->
-          timed (fun () -> Plan.plan cache ~input_shape:(Array.copy batches.(0).Tensor.shape)))
+    let pool_refs = Array.map (Artifact.reference ex.Artifact.graph) pool in
+    let s =
+      Artifact.setup_offline ~dir ~warm:pool.(0) ~warm_ref:pool_refs.(0) spans
     in
-    let _, warm_s =
-      Spans.with_span spans "nn.plan.warm" (fun _ ->
-          timed (fun () -> Plan.execute plan batches.(0)))
+    count counts s.Artifact.answer_ok;
+    let ph =
+      measure_offline s.Artifact.plan pool pool_refs ~seconds:serve_plan_s
+        ~spans_for:(fun _ -> spans)
     in
-    let lat = ref [] and alloc = ref [] in
-    Array.iteri
-      (fun b x ->
-        let m0 = Gc.minor_words () in
-        let t0 = now () in
-        ignore (Plan.execute plan x);
-        let t1 = now () in
-        alloc := (Gc.minor_words () -. m0) :: !alloc;
-        ignore (Spans.record spans ~req:b "nn.plan.execute" ~t0 ~t1);
-        lat := (t1 -. t0) :: !lat)
-      batches;
-    let execute_ms = p50_ms !lat in
+    Array.iter (count counts) ph.ok;
+    let execute_ms = p50_ms (Array.to_list ph.lat) in
+    let t = s.Artifact.timings in
     let compute =
-      plan_layers ~ex ~prune_s:(prune_seconds ex spans) ~execute_ms ~load_s ~compile_s
-        ~warm_s ~alloc_words:(Pstats.median !alloc) plan cache
+      plan_layers ~ex ~prune_s:(prune_seconds ex spans) ~execute_ms ~load_s:t.Artifact.load_s
+        ~compile_s:t.Artifact.compile_s ~warm_s:t.Artifact.warm_s
+        ~alloc_words:(Pstats.median (Array.to_list ph.alloc))
+        s.Artifact.plan s.Artifact.cache
     in
     let replay, stages = replay_layers ~seed w ex.Artifact.graph ~execute_ms spans in
     let wire = wire_layers ~input:warm ~logits:warm_ref spans in

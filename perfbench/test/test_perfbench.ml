@@ -151,6 +151,27 @@ let test_json_parse () =
         (Result.is_error (Json.parse bad)))
     [ ""; "{"; "[1,]"; "{\"a\" 1}"; "1 2"; "\"open"; "tru" ]
 
+let test_slowdown () =
+  let r = Hostspeed.reference_s in
+  check_float "reference speed" 1. (Hostspeed.slowdown [ r ]);
+  check_float "mean of the probes" 1.5 (Hostspeed.slowdown [ r; 2. *. r ]);
+  Alcotest.check_raises "no probes"
+    (Invalid_argument "Hostspeed.slowdown: no probes") (fun () ->
+      ignore (Hostspeed.slowdown []))
+
+(* The probe must not allocate, so that no collection runs inside it and
+   what the program left on the heap cannot change its time. *)
+let test_probe () =
+  ignore (Hostspeed.probe ());
+  let m0 = Gc.minor_words () in
+  let t = Hostspeed.probe () in
+  let words = Gc.minor_words () -. m0 in
+  Alcotest.(check bool) "positive time" true (t > 0.);
+  Alcotest.(check bool)
+    (Printf.sprintf "allocation-free (%.0f minor words)" words)
+    true (words < 16.);
+  Alcotest.(check int) "probes" 3 (List.length (Hostspeed.probes 3))
+
 let () =
   Alcotest.run "perfbench"
     [
@@ -171,5 +192,10 @@ let () =
           Alcotest.test_case "metric names" `Quick test_names;
           Alcotest.test_case "result line" `Quick test_result_line;
           Alcotest.test_case "json parser" `Quick test_json_parse;
+        ] );
+      ( "hostspeed",
+        [
+          Alcotest.test_case "slowdown" `Quick test_slowdown;
+          Alcotest.test_case "probe" `Quick test_probe;
         ] );
     ]

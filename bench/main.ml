@@ -9,8 +9,8 @@
      workload is that experiment's core kernel at a reduced size, plus
      micro-benchmarks of the central library kernels and paired
      sequential-vs-parallel runs of the domain-parallel hot paths
-     (Winograd gconv, int8 qconv, the F4 fp32 conv, and the network
-     simulator sweep).  Set TWQ_NUM_DOMAINS to size the pool.
+     (Winograd gconv, the F4 fp32 conv, and the network simulator
+     sweep).  Set TWQ_NUM_DOMAINS to size the pool.
 
    Modes:
      bench/main.exe                 tables + Bechamel (interactive output)
@@ -113,17 +113,8 @@ let x_par = Tensor.rand_gaussian rng [| 2; 16; 24; 24 |] ~mu:0.0 ~sigma:1.0
 let w_par = Tensor.rand_gaussian rng [| 16; 16; 3; 3 |] ~mu:0.0 ~sigma:0.3
 let gconv44 = Twq.Winograd.Gconv.create ~m:4 ~r:3 ()
 
-let qconv_layer =
-  Twq.Quant.Qconv.calibrate ~w:w_par ~sample_inputs:[ x_par ] ~stride:1 ~pad:1 ()
-
-let xq_par =
-  Twq.Quant.Quantizer.quantize_tensor ~bits:8
-    ~scale:qconv_layer.Twq.Quant.Qconv.s_x x_par
-
 let gconv_once () =
   ignore (Twq.Winograd.Gconv.conv2d gconv44 ~pad:1 ~x:x_par ~w:w_par ())
-
-let qconv_once () = ignore (Twq.Quant.Qconv.forward_int qconv_layer xq_par)
 
 let winof4_once () =
   ignore (Twq.Winograd.Conv.conv2d ~variant:T.F4 ~pad:1 ~x:x_par ~w:w_par ())
@@ -426,9 +417,27 @@ let kernels : (string * (unit -> unit)) list =
       fun () ->
         let r = Op.run Arch.default (Op.Winograd T.F4) synthetic_layer ~batch:1 in
         ignore (Twq.Sim.Trace.to_chrome_json r) );
+    (* ResNet-20's c16→c32 stride-2 3×3 downsampling layer, the shape
+       the planner lowers to the im2col path, at batch 8 on 32×32 input:
+       staged once with [Qconv.pack] as the planner does, run on one
+       domain into a preallocated output. *)
+    ( "qconv-resnet20-s2",
+      let rng = Twq.Rng.create 20 in
+      let w = Tensor.rand_gaussian rng [| 32; 16; 3; 3 |] ~mu:0.0 ~sigma:0.3 in
+      let x = Tensor.rand_gaussian rng [| 8; 16; 32; 32 |] ~mu:0.0 ~sigma:1.0 in
+      let l =
+        Twq.Quant.Qconv.calibrate ~pow2:true ~w ~sample_inputs:[ x ] ~stride:2
+          ~pad:1 ()
+      in
+      let xq =
+        Twq.Quant.Quantizer.quantize_tensor ~bits:8 ~scale:l.Twq.Quant.Qconv.s_x x
+      in
+      let p = Twq.Quant.Qconv.pack l in
+      let out = Twq.Itensor.zeros [| 8; 32; 16; 16 |] in
+      fun () ->
+        Parallel.sequential (fun () -> Twq.Quant.Qconv.forward_int_into p xq ~out) );
   ]
   @ paired "gconv" gconv_once
-  @ paired "qconv" qconv_once
   @ paired "wino-f4" winof4_once
   @ paired "netsim-resnet34" netsim_once
   @ tap_vs_tile "wino-f4-fp32"
@@ -687,6 +696,7 @@ let tier1 =
     "kernel-winograd-f4-conv-fp32";
     "kernel-tapwise-int8-forward";
     "kernel-im2col-conv-fp32";
+    "qconv-resnet20-s2";
     "tab1-dfg-cse";
     "intgraph-resnet20-planned";
     "deploy-forward-planned";

@@ -26,8 +26,9 @@ type inode = { iop : iop; inputs : int list; scale : float }
 
 type t = { inodes : inode array; out : int; plans : Plan.cache option }
 
-(* Lower the graph to the planner IR once at load time: Winograd layers
-   are pre-packed and the GAP→Linear head becomes an explicit [P_head].
+(* Lower the graph to the planner IR once at load time: Winograd and
+   spatial layers are pre-packed and the GAP→Linear head becomes an
+   explicit [P_head].
    Graphs whose output is not a head (possible only through hand-edited
    serialized files) keep [plans = None] and run on the interpreter. *)
 let lower inodes out =
@@ -40,7 +41,7 @@ let lower inodes out =
               match iop with
               | IInput s -> Plan.P_quantize s
               | IWino l -> Plan.P_wino (Tapwise.pack l)
-              | ISpatial l -> Plan.P_spatial l
+              | ISpatial l -> Plan.P_spatial (Qconv.pack l)
               | IRelu -> Plan.P_relu
               | ILeaky k -> Plan.P_leaky k
               | IMax_pool { k; stride } -> Plan.P_max_pool { k; stride }
@@ -252,7 +253,7 @@ let run_ref t x =
       | IWino layer ->
           int_values.(i) <- Some (Tapwise.forward_int layer (arg (List.hd inputs)))
       | ISpatial layer ->
-          int_values.(i) <- Some (Qconv.forward_int layer (arg (List.hd inputs)))
+          int_values.(i) <- Some (Qconv.forward_int_ref layer (arg (List.hd inputs)))
       | IRelu -> int_values.(i) <- Some (int_relu (arg (List.hd inputs)))
       | ILeaky k -> int_values.(i) <- Some (int_leaky k (arg (List.hd inputs)))
       | IMax_pool { k; stride } ->

@@ -31,7 +31,6 @@ module Ops = Twq_tensor.Ops
 module Shape = Twq_tensor.Shape
 module Tapwise = Twq_quant.Tapwise
 module Qconv = Twq_quant.Qconv
-module Quantizer = Twq_quant.Quantizer
 module Kernels = Twq_winograd.Kernels
 
 (* ------------------------------------------------------------ program IR *)
@@ -39,7 +38,7 @@ module Kernels = Twq_winograd.Kernels
 type prim =
   | P_quantize of float  (* float input -> int8 at the given scale *)
   | P_wino of Tapwise.packed
-  | P_spatial of Qconv.layer
+  | P_spatial of Qconv.packed
   | P_relu
   | P_leaky of int
   | P_max_pool of { k : int; stride : int }
@@ -68,7 +67,7 @@ let no_epi = { e_relu = false; e_add = None }
 type step =
   | S_quantize of { scale : float; dst : int }
   | S_wino of { p : Tapwise.packed; src : int; dst : int; epi : epi_spec }
-  | S_spatial of { l : Qconv.layer; src : int; dst : int; epi : epi_spec }
+  | S_spatial of { p : Qconv.packed; src : int; dst : int; epi : epi_spec }
   | S_relu of { src : int; dst : int }
   | S_leaky of { k : int; src : int; dst : int }
   | S_max_pool of { k : int; stride : int; src : int; dst : int }
@@ -136,7 +135,8 @@ let infer_shapes pnodes ~input_shape =
               Shape.conv2d_out ~h ~w ~kh:3 ~kw:3 ~stride:1 ~pad:l.Tapwise.pad
             in
             [| n; cout; ho; wo |]
-        | P_spatial l ->
+        | P_spatial p ->
+            let l = Qconv.packed_layer p in
             let n, _, h, w = dims (arg 0) in
             let cout = Itensor.dim l.Qconv.wq 0 in
             let kh = Itensor.dim l.Qconv.wq 2 and kw = Itensor.dim l.Qconv.wq 3 in
@@ -262,10 +262,10 @@ let compile program ~input_shape =
                 dst = i;
                 epi = { e_relu = epi_relu.(i); e_add = epi_add.(i) };
               }
-        | P_spatial l ->
+        | P_spatial p ->
             S_spatial
               {
-                l;
+                p;
                 src = arg 0;
                 dst = i;
                 epi = { e_relu = epi_relu.(i); e_add = epi_add.(i) };
@@ -470,16 +470,22 @@ let exec_step t d x s st =
   match st with
   | S_quantize { scale; dst } ->
       let dd = d.view.(dst).Itensor.data and xd = x.Tensor.data in
+      (* Inlined [Quantizer.quantize ~bits:8 ~scale]: the call boxes its
+         float argument per element, which was nearly all of a steady
+         forward's minor allocation. *)
       for i = 0 to numel dst - 1 do
-        dd.(i) <- Quantizer.quantize ~bits:8 ~scale xd.(i)
+        dd.(i) <-
+          Itensor.clamp_int ~bits:8 (int_of_float (Float.round (xd.(i) /. scale)))
       done
   | S_wino { p; src; dst; _ } ->
       (* Runs the register-tiled microkernel GEMM path: [p] carries the
          NR-packed Winograd weight panel from [Tapwise.pack]. *)
       Tapwise.forward_int_into ~epilogue:d.epi.(s) p d.view.(src)
         ~out:d.view.(dst)
-  | S_spatial { l; src; dst; _ } ->
-      Qconv.forward_int_into ~epilogue:d.epi.(s) l d.view.(src)
+  | S_spatial { p; src; dst; _ } ->
+      (* im2col onto the same GEMM microkernel: [p] carries the
+         per-channel requant factors staged by [Qconv.pack]. *)
+      Qconv.forward_int_into ~epilogue:d.epi.(s) p d.view.(src)
         ~out:d.view.(dst)
   | S_relu { src; dst } ->
       let sd = d.view.(src).Itensor.data and dd = d.view.(dst).Itensor.data in

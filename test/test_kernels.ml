@@ -16,6 +16,7 @@ module Microkernel = Twq_winograd.Microkernel
 module Conv = Twq_winograd.Conv
 module Gconv = Twq_winograd.Gconv
 module Tapwise = Twq_quant.Tapwise
+module Qconv = Twq_quant.Qconv
 module Quantizer = Twq_quant.Quantizer
 
 let with_domains n f =
@@ -301,6 +302,117 @@ let test_micro_config_sweep_tapwise () =
             true (Itensor.equal got want)))
     mk_config_sweep
 
+(* -------------------- im2col spatial conv vs the direct-loop oracle *)
+
+(* A calibrated spatial layer with its int8 input; [per_channel],
+   [bias] and [pow2] vary the requant arithmetic the gather applies. *)
+let qconv_case rng ~n ~cin ~cout ~k ~stride ~pad ~h ~w ~per_channel ~bias
+    ~pow2 =
+  let wt = Tensor.rand_gaussian rng [| cout; cin; k; k |] ~mu:0.0 ~sigma:0.5 in
+  let bias =
+    if bias then Some (Tensor.rand_gaussian rng [| cout |] ~mu:0.0 ~sigma:0.2)
+    else None
+  in
+  let x = tensor_of_rng rng [| n; cin; h; w |] in
+  let l =
+    Qconv.calibrate ~pow2 ~per_channel ~w:wt ?bias ~sample_inputs:[ x ]
+      ~stride ~pad ()
+  in
+  (l, Quantizer.quantize_tensor ~bits:l.Qconv.act_bits ~scale:l.Qconv.s_x x)
+
+let qconv_out_shape l xi =
+  let ho, wo =
+    Twq_tensor.Shape.conv2d_out ~h:(Itensor.dim xi 2) ~w:(Itensor.dim xi 3)
+      ~kh:(Itensor.dim l.Qconv.wq 2) ~kw:(Itensor.dim l.Qconv.wq 3)
+      ~stride:l.Qconv.stride ~pad:l.Qconv.pad
+  in
+  [| Itensor.dim xi 0; Itensor.dim l.Qconv.wq 0; ho; wo |]
+
+let qconv_packed_forward ?epilogue p l xi =
+  let out = Itensor.zeros (qconv_out_shape l xi) in
+  Qconv.forward_int_into ?epilogue p xi ~out;
+  out
+
+(* Random batch, channel counts straddling MR/NR multiples, kernel
+   1/3/5 × stride 1/2/3 × pad 0/1/2, per-channel scales, bias and pow2
+   on/off, every fused epilogue (none, ReLU, residual add, add + ReLU),
+   and 1 or 4 domains. *)
+let prop_qconv_im2col =
+  QCheck2.Test.make ~count:80 ~name:"im2col qconv = direct-loop oracle"
+    QCheck2.Gen.(pair (oneofl [ 1; 4 ]) seed_gen)
+    (fun (nd, seed) ->
+      let rng = Twq_util.Rng.create seed in
+      let pick l = List.nth l (Twq_util.Rng.int rng (List.length l)) in
+      let k = pick [ 1; 3; 5 ] in
+      let l, xi =
+        qconv_case rng
+          ~n:(1 + Twq_util.Rng.int rng 3)
+          ~cin:(1 + Twq_util.Rng.int rng 9)
+          ~cout:(1 + Twq_util.Rng.int rng 9)
+          ~k ~stride:(pick [ 1; 2; 3 ]) ~pad:(pick [ 0; 1; 2 ])
+          ~h:(k + Twq_util.Rng.int rng 7)
+          ~w:(k + Twq_util.Rng.int rng 7)
+          ~per_channel:(Twq_util.Rng.bool rng) ~bias:(Twq_util.Rng.bool rng)
+          ~pow2:(Twq_util.Rng.bool rng)
+      in
+      let shape = qconv_out_shape l xi in
+      let add =
+        if Twq_util.Rng.bool rng then
+          Some
+            {
+              Kernels.other =
+                (itensor_of_rng rng shape).Itensor.data;
+              shift_self = Twq_util.Rng.int rng 3;
+              shift_other = Twq_util.Rng.int rng 3;
+              bits = 8;
+            }
+        else None
+      in
+      let epilogue = { Kernels.relu = Twq_util.Rng.bool rng; add } in
+      let got =
+        with_domains nd (fun () ->
+            qconv_packed_forward ~epilogue (Qconv.pack l) l xi)
+      in
+      Itensor.equal got (Qconv.forward_int_ref ~epilogue l xi))
+
+(* Every register-block configuration on a stride-2 3×3 layer with
+   K = 33·9 = 297, above the default KC of 256 (like ResNet-20's
+   c32→c64 downsampling layer, K = 288), so the GEMM splits K into
+   several cache panels under every config. *)
+let qconv_sweep_case () =
+  qconv_case (Twq_util.Rng.create 102) ~n:2 ~cin:33 ~cout:7 ~k:3 ~stride:2
+    ~pad:1 ~h:9 ~w:8 ~per_channel:true ~bias:true ~pow2:true
+
+let test_micro_config_sweep_qconv () =
+  let l, xi = qconv_sweep_case () in
+  let want = Qconv.forward_int_ref l xi in
+  List.iter
+    (fun (mr, nr, kc) ->
+      with_mk_config ~mr ~nr ~kc (fun () ->
+          Alcotest.(check bool)
+            (Printf.sprintf "mr=%d nr=%d kc=%d" mr nr kc)
+            true
+            (Itensor.equal (Qconv.forward_int l xi) want)))
+    mk_config_sweep
+
+(* [Qconv.pack] holds nothing that depends on the register-block config
+   (the im2col panels follow the config current at execution time), so
+   a layer packed under one config still runs correctly after another
+   is set. *)
+let test_qconv_pack_config_change () =
+  let l, xi = qconv_sweep_case () in
+  let want = Qconv.forward_int_ref l xi in
+  List.iter
+    (fun ((mr, nr, kc), (mr', nr', kc')) ->
+      let p = with_mk_config ~mr ~nr ~kc (fun () -> Qconv.pack l) in
+      with_mk_config ~mr:mr' ~nr:nr' ~kc:kc' (fun () ->
+          Alcotest.(check bool)
+            (Printf.sprintf "packed %d/%d/%d, run %d/%d/%d" mr nr kc mr' nr'
+               kc')
+            true
+            (Itensor.equal (qconv_packed_forward p l xi) want)))
+    [ ((4, 8, 256), (3, 4, 8)); ((1, 1, 8), (4, 8, 256)); ((5, 5, 32), (2, 4, 16)) ]
+
 (* --------------------- compressed-panel sparse GEMM vs dense driver *)
 
 module Pruning = Twq_quant.Pruning
@@ -470,6 +582,7 @@ let () =
         prop_micro_int_edge;
         prop_sparse_gemm;
         prop_tapwise_sparse;
+        prop_qconv_im2col;
       ]
   in
   Alcotest.run "kernels"
@@ -483,6 +596,10 @@ let () =
             test_micro_config_sweep_f32;
           Alcotest.test_case "tapwise config sweep = ref" `Quick
             test_micro_config_sweep_tapwise;
+          Alcotest.test_case "qconv config sweep = ref" `Quick
+            test_micro_config_sweep_qconv;
+          Alcotest.test_case "qconv packed under another config" `Quick
+            test_qconv_pack_config_change;
         ] );
       ( "sparse",
         [

@@ -16,24 +16,26 @@ let tensor_exact = Alcotest.testable Tensor.pp (Tensor.approx_equal ~tol:0.0)
 (* ------------------------------------------------------ random graphs *)
 
 (* Random CNN exercising every planner primitive: Winograd and spatial
-   convs, residual adds, leaky ReLU, max/avg pooling, upsampling and
-   channel concatenation, ending in the GAP→Linear head. *)
+   convs (1×1, and the stride-2 3×3 + 1×1 projection of a ResNet
+   downsampling block), residual adds, leaky ReLU, max/avg pooling,
+   upsampling and channel concatenation, ending in the GAP→Linear
+   head. *)
 let random_graph seed =
   let rng = Rng.create seed in
   let g = Graph.create () in
   let x = Graph.input g in
   let node = ref x and chans = ref 3 and size = ref 8 in
-  let conv ?cout ?(k = 3) ?(pad = 1) src cin =
+  let conv ?cout ?(k = 3) ?(pad = 1) ?(stride = 1) src cin =
     let cout = match cout with Some c -> c | None -> cin in
     Graph.add g
       (Graph.Conv
          { w = Tensor.rand_gaussian rng [| cout; cin; k; k |] ~mu:0.0 ~sigma:0.3;
-           bias = None; stride = 1; pad })
+           bias = None; stride; pad })
       [ src ]
   in
   let n_ops = 3 + Rng.int rng 5 in
   for _ = 1 to n_ops do
-    match Rng.int rng 8 with
+    match Rng.int rng 9 with
     | 0 ->
         (* Winograd conv + ReLU — should fuse. *)
         let cout = 2 + Rng.int rng 6 in
@@ -68,6 +70,28 @@ let random_graph seed =
         let c2 = conv ~cout:cb ~k:1 ~pad:0 !node !chans in
         node := Graph.add g Graph.Concat [ c1; c2 ];
         chans := ca + cb
+    | 8 when !size >= 4 ->
+        (* ResNet downsampling block: stride-2 3×3 conv + ReLU, then a
+           Winograd 3×3, added to a stride-2 1×1 projection, + ReLU.
+           The spatial convs take the fused ReLU, and the add + ReLU
+           fuse into whichever operand is scheduled later. *)
+        let cout = 2 + Rng.int rng 6 in
+        let main () =
+          let d = conv ~cout ~stride:2 !node !chans in
+          conv (Graph.add g Graph.Relu [ d ]) cout
+        in
+        let proj () = conv ~cout ~k:1 ~pad:0 ~stride:2 !node !chans in
+        let a, b =
+          if Rng.bool rng then
+            let m = main () in
+            (m, proj ())
+          else
+            let p = proj () in
+            (main (), p)
+        in
+        node := Graph.add g Graph.Relu [ Graph.add g Graph.Add [ a; b ] ];
+        chans := cout;
+        size := (!size + 1) / 2
     | _ -> node := Graph.add g Graph.Relu [ !node ]
   done;
   let gap = Graph.add g Graph.Global_avg_pool [ !node ] in
@@ -184,6 +208,30 @@ let test_serialized_graph_plans () =
   Alcotest.check tensor_exact "reloaded planned == original run_ref"
     (Int_graph.run_ref iq x) (Int_graph.run reloaded x)
 
+(* A steady-state planned forward allocates little more than its
+   returned logits: every conv (Winograd and im2col) runs in arena and
+   scratch buffers, and the input quantize stays in unboxed arithmetic.
+   Full-width ResNet-20 on an 8×3×32×32 batch, on one domain so
+   [Gc.minor_words] sees all of the work. *)
+let test_resnet20_steady_alloc () =
+  let rng = Rng.create 15 in
+  let g = Passes.fold_bn (Gmodels.resnet20 ~rng ()) in
+  let cal = Tensor.rand_gaussian rng [| 2; 3; 32; 32 |] ~mu:0.0 ~sigma:1.0 in
+  let iq = Int_graph.quantize g ~calibration:cal () in
+  let x = Tensor.rand_gaussian rng [| 8; 3; 32; 32 |] ~mu:0.0 ~sigma:1.0 in
+  Parallel.set_num_domains 1;
+  let words =
+    Fun.protect ~finally:Parallel.clear_num_domains_override (fun () ->
+        ignore (Int_graph.run iq x);
+        ignore (Int_graph.run iq x);
+        let w0 = Gc.minor_words () in
+        ignore (Sys.opaque_identity (Int_graph.run iq x));
+        Gc.minor_words () -. w0)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "steady forward allocates %.0f < 4096 minor words" words)
+    true (words < 4096.0)
+
 (* -------------------------------------------------------------- deploy *)
 
 let test_deploy_planned_matches_ref () =
@@ -227,5 +275,7 @@ let () =
             test_plan_cache_per_shape;
           Alcotest.test_case "serialized graphs get plans" `Quick
             test_serialized_graph_plans;
+          Alcotest.test_case "resnet20 steady forward allocation" `Quick
+            test_resnet20_steady_alloc;
         ] );
     ]

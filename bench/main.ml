@@ -7,10 +7,9 @@
      tab3` for the paper-scale training sweep).
    - The Bechamel pass registers one Test.make per table/figure whose
      workload is that experiment's core kernel at a reduced size, plus
-     micro-benchmarks of the central library kernels and paired
-     sequential-vs-parallel runs of the domain-parallel hot paths
-     (Winograd gconv, the F4 fp32 conv, and the network simulator
-     sweep).  Set TWQ_NUM_DOMAINS to size the pool.
+     micro-benchmarks of the central library kernels, the integer
+     inference plans and the serving hot paths.  Set TWQ_NUM_DOMAINS to
+     size the pool.
 
    Modes:
      bench/main.exe                 tables + Bechamel (interactive output)
@@ -107,44 +106,15 @@ let qat_step =
     Twq.Autodiff.Var.backward loss;
     Twq.Autodiff.Optim.zero_grads (Twq.Nn.Qat_model.params model)
 
-(* -------------------- paired seq-vs-par domain-parallel hot-path kernels *)
-
-let x_par = Tensor.rand_gaussian rng [| 2; 16; 24; 24 |] ~mu:0.0 ~sigma:1.0
-let w_par = Tensor.rand_gaussian rng [| 16; 16; 3; 3 |] ~mu:0.0 ~sigma:0.3
-let gconv44 = Twq.Winograd.Gconv.create ~m:4 ~r:3 ()
-
-let gconv_once () =
-  ignore (Twq.Winograd.Gconv.conv2d gconv44 ~pad:1 ~x:x_par ~w:w_par ())
-
-let winof4_once () =
-  ignore (Twq.Winograd.Conv.conv2d ~variant:T.F4 ~pad:1 ~x:x_par ~w:w_par ())
-
 let netsim_once () =
   ignore (NR.run Arch.default (NR.P_winograd T.F4) (Zoo.resnet34 ()) ~batch:1)
 
-(* The -par rows must actually run a worker pool: on boxes where
-   [Domain.recommended_domain_count () = 1] (single-core CI runners) the
-   pool degenerates to the sequential path and the pair times the same
-   code twice — the flat gconv/qconv seq≈par rows in older baselines.
-   Force at least two domains around each -par invocation (the override
-   is a cheap ref write; the pool itself persists between calls).  On
-   single-core hosts the pair therefore measures pool overhead; on
-   multicore hosts, real scaling. *)
-let par_domains = Stdlib.max 2 (Stdlib.min 4 (Parallel.num_domains ()))
+(* ---------------------------------------- tap-major kernel runs *)
+(* The production tap-major, allocation-free Kernels path on one domain,
+   so each row prices the kernel itself. *)
 
-let paired name f =
-  [
-    (name ^ "-seq", fun () -> Parallel.sequential f);
-    ( name ^ "-par",
-      fun () ->
-        Parallel.set_num_domains par_domains;
-        Fun.protect ~finally:Parallel.clear_num_domains_override f );
-  ]
-
-(* ------------------------- paired tile-major vs tap-major kernel runs *)
-(* Same workload through the reference (tile-major, per-tile tensors) and
-   production (tap-major, allocation-free Kernels) paths; both run
-   sequentially so the pair isolates the kernel reformulation itself. *)
+let x_par = Tensor.rand_gaussian rng [| 2; 16; 24; 24 |] ~mu:0.0 ~sigma:1.0
+let w_par = Tensor.rand_gaussian rng [| 16; 16; 3; 3 |] ~mu:0.0 ~sigma:0.3
 
 let xi_par =
   Twq.Itensor.init [| 2; 16; 24; 24 |] (fun _ -> Twq.Rng.int rng 255 - 127)
@@ -167,17 +137,12 @@ let xi_tapwise =
 let gconv45 = Twq.Winograd.Gconv.create ~m:4 ~r:5 ()
 let w45_par = Tensor.rand_gaussian rng [| 16; 16; 5; 5 |] ~mu:0.0 ~sigma:0.2
 
-let tap_vs_tile name tap tile =
-  [
-    (name ^ "-tap", fun () -> Parallel.sequential tap);
-    (name ^ "-tile", fun () -> Parallel.sequential tile);
-  ]
+let tap name f = (name ^ "-tap", fun () -> Parallel.sequential f)
 
-(* ------------------- paired microkernel vs naive per-tap GEMM runs *)
+(* ------------------------------------- microkernel per-tap GEMM runs *)
 (* ResNet-ish shape (Cin = Cout = 64, 16x16) where the per-tap GEMM
    dominates: the tap-major driver with the register-tiled Microkernel
-   engine against the naive triple-loop [_ref] oracle.  Both sequential,
-   so the pair isolates the GEMM blocking itself. *)
+   engine, sequential. *)
 
 module WK = Twq.Winograd.Kernels
 
@@ -214,11 +179,7 @@ let rns_plan_f6 =
   | Ok basis -> Rns.plan_exn ~m:6 ~r:3 ~basis ~cin:64 ()
   | Error e -> failwith (Rns.error_to_string e)
 
-let micro_vs_naive name micro naive =
-  [
-    (name ^ "-micro", fun () -> Parallel.sequential micro);
-    (name ^ "-naive", fun () -> Parallel.sequential naive);
-  ]
+let micro name f = (name ^ "-micro", fun () -> Parallel.sequential f)
 
 (* --------------------- paired sparse vs dense pruned per-tap GEMMs *)
 (* The compressed-panel driver against the register-tiled dense GEMM on
@@ -264,46 +225,17 @@ let sparse_gemm_pair density tag =
           ~vo:0 ~up ~uo:0 ~c ~co:0 ~cstride:cols_p );
   ]
 
-(* ---------------------- paired batch-1 vs batch-N serving episodes *)
-(* One full closed-loop serving episode (server up, 24 requests through
-   the dynamic batcher, graceful drain) per run.  The batch-1/batch-8
-   pair isolates what batching buys end-to-end: per-batch fixed costs
-   (tap-major weight re-layout, dispatch) amortized over the batch. *)
+(* ------------------------------------------ integer inference plans *)
 
 module Serve = Twq.Serve
 
-let serve_model, serve_dims =
+let serve_graph =
   let g =
     Twq.Nn.Passes.fold_bn
       (Twq.Nn.Gmodels.resnet20 ~rng:(Twq.Rng.create 7) ~width_div:2 ())
   in
   let cal = Tensor.rand_gaussian rng [| 2; 3; 8; 8 |] ~mu:0.0 ~sigma:1.0 in
-  ( Serve.Model.Graph (Twq.Nn.Int_graph.quantize g ~calibration:cal ()),
-    [| 3; 8; 8 |] )
-
-let serve_input i =
-  Tensor.rand_gaussian (Twq.Rng.create (1000 + i)) [| 3; 8; 8 |] ~mu:0.0
-    ~sigma:1.0
-
-let serve_episode ~max_batch () =
-  let config =
-    { Serve.Server.default_config with
-      Serve.Server.max_batch;
-      max_delay = (if max_batch = 1 then 0.0 else 0.001);
-      capacity = 64 }
-  in
-  let server = Serve.Server.for_model ~config serve_model ~input_dims:serve_dims () in
-  let s =
-    Serve.Loadgen.run ~server ~make_input:serve_input ~requests:24
-      ~concurrency:8 ()
-  in
-  Serve.Server.shutdown server;
-  assert (s.Serve.Loadgen.completed = 24)
-
-(* ------------------------ planned vs interpreted integer inference *)
-
-let serve_graph =
-  match serve_model with Serve.Model.Graph g -> g | Serve.Model.Net _ -> assert false
+  Twq.Nn.Int_graph.quantize g ~calibration:cal ()
 
 let plan_input =
   Tensor.rand_gaussian (Twq.Rng.create 31) [| 4; 3; 8; 8 |] ~mu:0.0 ~sigma:1.0
@@ -437,53 +369,25 @@ let kernels : (string * (unit -> unit)) list =
       fun () ->
         Parallel.sequential (fun () -> Twq.Quant.Qconv.forward_int_into p xq ~out) );
   ]
-  @ paired "gconv" gconv_once
-  @ paired "wino-f4" winof4_once
-  @ paired "netsim-resnet34" netsim_once
-  @ tap_vs_tile "wino-f4-fp32"
-      (fun () ->
-        ignore (Twq.Winograd.Conv.conv2d ~variant:T.F4 ~pad:1 ~x:x_par ~w:w_par ()))
-      (fun () ->
-        ignore
-          (Twq.Winograd.Conv.conv2d_ref ~variant:T.F4 ~pad:1 ~x:x_par ~w:w_par ()))
-  @ tap_vs_tile "wino-f2-fp32"
-      (fun () ->
-        ignore (Twq.Winograd.Conv.conv2d ~variant:T.F2 ~pad:1 ~x:x_par ~w:w_par ()))
-      (fun () ->
-        ignore
-          (Twq.Winograd.Conv.conv2d_ref ~variant:T.F2 ~pad:1 ~x:x_par ~w:w_par ()))
-  @ tap_vs_tile "wino-f6-fp32"
-      (fun () ->
-        ignore (Twq.Winograd.Conv.conv2d ~variant:T.F6 ~pad:1 ~x:x_par ~w:w_par ()))
-      (fun () ->
-        ignore
-          (Twq.Winograd.Conv.conv2d_ref ~variant:T.F6 ~pad:1 ~x:x_par ~w:w_par ()))
-  @ tap_vs_tile "wino-f4-int8"
-      (fun () ->
-        ignore
-          (Twq.Winograd.Conv.conv2d_int_bit_true ~variant:T.F4 ~pad:1 ~x:xi_par
-             ~w:wi_par ()))
-      (fun () ->
-        ignore
-          (Twq.Winograd.Conv.conv2d_int_bit_true_ref ~variant:T.F4 ~pad:1 ~x:xi_par
-             ~w:wi_par ()))
-  @ tap_vs_tile "tapwise-int8"
-      (fun () -> ignore (Twq.Quant.Tapwise.forward_int tapwise_layer_par xi_tapwise))
-      (fun () ->
-        ignore (Twq.Quant.Tapwise.forward_int_ref tapwise_layer_par xi_tapwise))
-  @ micro_vs_naive "wino-f4-fp32"
-      (fun () -> ignore (WK.conv2d_f32 kf4_gemm ~pad:1 ~x:x_gemm ~w:w_gemm))
-      (fun () -> ignore (WK.conv2d_f32_ref kf4_gemm ~pad:1 ~x:x_gemm ~w:w_gemm))
-  @ micro_vs_naive "wino-f4-int8"
-      (fun () ->
-        ignore
-          (WK.conv2d_i32_exact ki4_gemm ~scale2:scale2_f4 ~pad:1 ~x:xi_gemm
-             ~w:wi_gemm))
-      (fun () ->
-        ignore
-          (WK.conv2d_i32_exact_ref ki4_gemm ~scale2:scale2_f4 ~pad:1 ~x:xi_gemm
-             ~w:wi_gemm))
   @ [
+      tap "wino-f4-fp32" (fun () ->
+          ignore (Twq.Winograd.Conv.conv2d ~variant:T.F4 ~pad:1 ~x:x_par ~w:w_par ()));
+      tap "wino-f2-fp32" (fun () ->
+          ignore (Twq.Winograd.Conv.conv2d ~variant:T.F2 ~pad:1 ~x:x_par ~w:w_par ()));
+      tap "wino-f6-fp32" (fun () ->
+          ignore (Twq.Winograd.Conv.conv2d ~variant:T.F6 ~pad:1 ~x:x_par ~w:w_par ()));
+      tap "wino-f4-int8" (fun () ->
+          ignore
+            (Twq.Winograd.Conv.conv2d_int_bit_true ~variant:T.F4 ~pad:1 ~x:xi_par
+               ~w:wi_par ()));
+      tap "tapwise-int8" (fun () ->
+          ignore (Twq.Quant.Tapwise.forward_int tapwise_layer_par xi_tapwise));
+      micro "wino-f4-fp32" (fun () ->
+          ignore (WK.conv2d_f32 kf4_gemm ~pad:1 ~x:x_gemm ~w:w_gemm));
+      micro "wino-f4-int8" (fun () ->
+          ignore
+            (WK.conv2d_i32_exact ki4_gemm ~scale2:scale2_f4 ~pad:1 ~x:xi_gemm
+               ~w:wi_gemm));
       ( "wino-f6-rns-crt",
         fun () ->
           Parallel.sequential (fun () ->
@@ -496,28 +400,14 @@ let kernels : (string * (unit -> unit)) list =
               ignore
                 (WK.conv2d_i32_exact ki6_gemm ~scale2:scale2_f6 ~pad:1
                    ~x:xi_gemm ~w:wi_gemm)) );
-    ]
-  @ tap_vs_tile "gconv-m4r5-fp32"
-      (fun () ->
-        ignore (Twq.Winograd.Gconv.conv2d gconv45 ~pad:2 ~x:x_par ~w:w45_par ()))
-      (fun () ->
-        ignore (Twq.Winograd.Gconv.conv2d_ref gconv45 ~pad:2 ~x:x_par ~w:w45_par ()))
-  @ [
-      ("serve-batch1", serve_episode ~max_batch:1);
-      ("serve-batch8", serve_episode ~max_batch:8);
-    ]
-  (* Planned vs interpreted execution of the same integer graphs: the
-     compiled plan (fused epilogues, arena reuse, zero steady-state
-     allocation) against the node-by-node reference interpreter. *)
-  @ [
+      tap "gconv-m4r5-fp32" (fun () ->
+          ignore (Twq.Winograd.Gconv.conv2d gconv45 ~pad:2 ~x:x_par ~w:w45_par ()));
+      (* The compiled plans of the integer graphs: fused epilogues, arena
+         reuse, zero steady-state allocation. *)
       ( "intgraph-resnet20-planned",
         fun () -> ignore (Twq.Nn.Int_graph.run serve_graph plan_input) );
-      ( "intgraph-resnet20-interp",
-        fun () -> ignore (Twq.Nn.Int_graph.run_ref serve_graph plan_input) );
       ( "deploy-forward-planned",
         fun () -> ignore (Twq.Nn.Deploy.forward deploy_net deploy_input) );
-      ( "deploy-forward-interp",
-        fun () -> ignore (Twq.Nn.Deploy.forward_ref deploy_net deploy_input) );
     ]
   (* Sparse-vs-dense execution of pruned weights, at the per-tap GEMM
      and at the end-to-end pruned-ResNet-20 level, at 30% and 50%

@@ -1,12 +1,10 @@
 module Tensor = Twq_tensor.Tensor
-module Itensor = Twq_tensor.Itensor
 module Ops = Twq_tensor.Ops
 module Transform = Twq_winograd.Transform
 module Tapwise = Twq_quant.Tapwise
-module Quantizer = Twq_quant.Quantizer
 module Synth = Twq_dataset.Synth_images
 
-type op =
+type op = Int_graph.link =
   | Conv of Tapwise.layer
   | Relu
   | Avg_pool2  (* 2×2, stride 2, int round-shift by 2 *)
@@ -17,34 +15,8 @@ type t = {
   output_scale : float;  (* s_y of the last conv (relu/pool preserve it) *)
   fc_w : Tensor.t;
   fc_b : Tensor.t;
-  plans : Plan.cache;
+  graph : Int_graph.t;
 }
-
-(* Lower the op pipeline to the planner IR once at export/load time:
-   quantize → convs/relus/pools in a chain → float head. *)
-let lower ~ops ~input_scale ~output_scale ~fc_w ~fc_b =
-  let n_ops = List.length ops in
-  let pnodes =
-    Array.make (n_ops + 2)
-      { Plan.prim = Plan.P_quantize input_scale; args = [] }
-  in
-  List.iteri
-    (fun i op ->
-      let prim =
-        match op with
-        | Conv l -> Plan.P_wino (Tapwise.pack l)
-        | Relu -> Plan.P_relu
-        | Avg_pool2 -> Plan.P_avg_pool2
-      in
-      pnodes.(i + 1) <- { Plan.prim; args = [ i ] })
-    ops;
-  pnodes.(n_ops + 1) <-
-    {
-      Plan.prim =
-        Plan.P_head { w = fc_w; bias = Some fc_b; in_scale = output_scale };
-      args = [ n_ops ];
-    };
-  Plan.cache { Plan.pnodes; out = n_ops + 1 }
 
 let make ~ops ~input_scale ~output_scale ~fc_w ~fc_b =
   {
@@ -53,10 +25,10 @@ let make ~ops ~input_scale ~output_scale ~fc_w ~fc_b =
     output_scale;
     fc_w;
     fc_b;
-    plans = lower ~ops ~input_scale ~output_scale ~fc_w ~fc_b;
+    graph = Int_graph.chain ~input_scale ops ~head:(fc_w, fc_b, output_scale);
   }
 
-let plans t = t.plans
+let graph t = t.graph
 
 (* Fold batch-norm statistics (from the calibration activations) into the
    conv weights and bias: y = γ(conv(x) − μ)/σ + β. *)
@@ -92,20 +64,6 @@ let fold_bn ~w ~gamma ~beta ~y_cal =
     bias.Tensor.data.(co) <- beta.Tensor.data.(co) -. (mu *. scale)
   done;
   (w', bias, !max_scale)
-
-let int_relu = Itensor.map (fun v -> Stdlib.max 0 v)
-
-let int_avg_pool2 x =
-  let n = Itensor.dim x 0 and c = Itensor.dim x 1 in
-  let h = Itensor.dim x 2 and w = Itensor.dim x 3 in
-  Itensor.init [| n; c; h / 2; w / 2 |] (fun idx ->
-      let s = ref 0 in
-      for di = 0 to 1 do
-        for dj = 0 to 1 do
-          s := !s + Itensor.get4 x idx.(0) idx.(1) ((2 * idx.(2)) + di) ((2 * idx.(3)) + dj)
-        done
-      done;
-      Itensor.round_shift !s 2)
 
 let float_avg_pool2 = Ops.avg_pool2d ~k:2 ~stride:2
 
@@ -160,22 +118,7 @@ let export model ~calibration ?(variant = Transform.F4) ?(wino_bits = 8) () =
     ~output_scale:!last_out_scale ~fc_w:(Tensor.copy fc_w)
     ~fc_b:(Tensor.copy fc_b)
 
-let forward_ref net x =
-  let x_int = ref (Quantizer.quantize_tensor ~bits:8 ~scale:net.input_scale x) in
-  List.iter
-    (fun op ->
-      x_int :=
-        match op with
-        | Conv layer -> Tapwise.forward_int layer !x_int
-        | Relu -> int_relu !x_int
-        | Avg_pool2 -> int_avg_pool2 !x_int)
-    net.ops;
-  (* Only the tiny head runs in float. *)
-  let feat = Quantizer.dequantize_tensor ~scale:net.output_scale !x_int in
-  let pooled = Ops.global_avg_pool feat in
-  Ops.linear ~x:pooled ~w:net.fc_w ~b:net.fc_b ()
-
-let forward net x = Plan.run net.plans x
+let forward net x = Int_graph.run net.graph x
 
 let accuracy net split =
   let n = Array.length split in

@@ -33,17 +33,13 @@ val export :
 
 val forward : t -> Twq_tensor.Tensor.t -> Twq_tensor.Tensor.t
 (** Logits for a batch; everything up to the head runs on integers.
-    Executes the compiled {!Plan} for the batch shape (compiled once per
-    shape, cached): fused requant/ReLU epilogues, liveness-based arena
-    reuse, near-zero steady-state allocation.  Bit-identical to
-    {!forward_ref}. *)
+    [Int_graph.run] on {!graph}: the compiled {!Plan} for the batch
+    shape (compiled once per shape, cached). *)
 
-val forward_ref : t -> Twq_tensor.Tensor.t -> Twq_tensor.Tensor.t
-(** Reference op-by-op interpreter — the oracle {!forward} is tested
-    against. *)
-
-val plans : t -> Plan.cache
-(** The network's plan cache (one plan per batch shape). *)
+val graph : t -> Int_graph.t
+(** The network as an integer graph ({!Int_graph.chain}): the one
+    interpreter and plan cache behind {!forward}.  Its
+    {!Int_graph.run_ref} is the oracle {!forward} is tested against. *)
 
 val accuracy : t -> Twq_dataset.Synth_images.sample array -> float
 (** Top-1 accuracy of the integer network on a dataset split. *)

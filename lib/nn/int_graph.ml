@@ -60,6 +60,31 @@ let lower inodes out =
 
 let make inodes out = { inodes; out; plans = lower inodes out }
 
+type link = Conv of Tapwise.layer | Relu | Avg_pool2
+
+(* A linear chain: quantize at [input_scale], the links in order, then
+   the float head.  Each conv requantizes to its own [s_y]; ReLU and
+   pooling keep their input's scale. *)
+let chain ~input_scale links ~head:(w, bias, in_scale) =
+  let _, body =
+    List.fold_left_map
+      (fun (src, scale) link ->
+        let iop, scale =
+          match link with
+          | Conv l -> (IWino l, l.Tapwise.s_y)
+          | Relu -> (IRelu, scale)
+          | Avg_pool2 -> (IAvg_pool2, scale)
+        in
+        ((src + 1, scale), { iop; inputs = [ src ]; scale }))
+      (0, input_scale) links
+  in
+  let input = { iop = IInput input_scale; inputs = []; scale = input_scale } in
+  let out = List.length links + 1 in
+  let head =
+    { iop = IHead { w; bias = Some bias; in_scale }; inputs = [ out - 1 ]; scale = 1.0 }
+  in
+  make (Array.of_list ((input :: body) @ [ head ])) out
+
 let plans t = t.plans
 
 let pow2_scale ~bits x_max =
@@ -251,7 +276,7 @@ let run_ref t x =
       | IInput s ->
           int_values.(i) <- Some (Quantizer.quantize_tensor ~bits:8 ~scale:s x)
       | IWino layer ->
-          int_values.(i) <- Some (Tapwise.forward_int layer (arg (List.hd inputs)))
+          int_values.(i) <- Some (Tapwise.forward_int_ref layer (arg (List.hd inputs)))
       | ISpatial layer ->
           int_values.(i) <- Some (Qconv.forward_int_ref layer (arg (List.hd inputs)))
       | IRelu -> int_values.(i) <- Some (int_relu (arg (List.hd inputs)))

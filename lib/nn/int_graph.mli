@@ -1,7 +1,8 @@
 (** Post-training quantization of a {!Graph.t} into an integer-only graph.
 
-    Generalises {!Deploy} to arbitrary graphs, including the residual
-    connections of ResNet-style models:
+    Covers arbitrary graphs, including the residual connections of
+    ResNet-style models ({!Deploy}'s linear nets are built with
+    {!chain}):
 
     - 3×3 stride-1 convolutions become tap-wise Winograd layers
       ({!Twq_quant.Tapwise});
@@ -30,6 +31,24 @@ val quantize :
   t
 (** @raise Invalid_argument on BN nodes or unsupported pooling sizes. *)
 
+type link =
+  | Conv of Twq_quant.Tapwise.layer
+  | Relu
+  | Avg_pool2  (** 2×2, stride 2, int round-shift by 2 *)
+(** One step of a linear integer chain. *)
+
+val chain :
+  input_scale:float ->
+  link list ->
+  head:Twq_tensor.Tensor.t * Twq_tensor.Tensor.t * float ->
+  t
+(** [chain ~input_scale links ~head:(w, bias, in_scale)] is the graph
+    that quantizes its input at [input_scale], runs [links] in order
+    (each conv requantizes to its own [s_y]; ReLU and pooling keep
+    their input's scale), then dequantizes at [in_scale] into the
+    global-average-pool + linear head [(w, bias)].  {!Deploy} nets are
+    such chains. *)
+
 val run : t -> Twq_tensor.Tensor.t -> Twq_tensor.Tensor.t
 (** Float in (quantized at the input scale), logits out.  Executes the
     compiled {!Plan} for the input's shape (compiled once per shape,
@@ -39,7 +58,10 @@ val run : t -> Twq_tensor.Tensor.t -> Twq_tensor.Tensor.t
 
 val run_ref : t -> Twq_tensor.Tensor.t -> Twq_tensor.Tensor.t
 (** Reference node-by-node interpreter — the oracle {!run} is tested
-    against.  Drops intermediate activations after their last use. *)
+    against.  Its convolutions run the tile-major
+    {!Twq_quant.Tapwise.forward_int_ref} and the direct-loop
+    {!Twq_quant.Qconv.forward_int_ref}, so it shares no GEMM code with
+    the plan.  Drops intermediate activations after their last use. *)
 
 val plans : t -> Plan.cache option
 (** The graph's plan cache ([None] only for deserialized graphs whose

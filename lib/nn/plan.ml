@@ -1,9 +1,8 @@
 (* Compiled execution plans for the integer inference graphs.
 
-   [Int_graph.run] and [Deploy.forward] used to interpret their graphs
-   node by node, allocating a fresh tensor per node per forward and
-   sweeping activations again for every elementwise epilogue — exactly
-   the inter-stage traffic the paper's FixPipe fuses away in hardware.
+   [Int_graph.run] used to interpret its graphs node by node, allocating
+   a fresh tensor per node per forward and sweeping activations again
+   for every elementwise epilogue — exactly the inter-stage traffic the paper's FixPipe fuses away in hardware.
    A plan compiles a lowered [program] for one concrete input shape:
 
    - the schedule is the topological node order, restricted to nodes

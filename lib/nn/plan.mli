@@ -1,7 +1,7 @@
 (** Compiled execution plans for integer inference graphs.
 
-    The interpreters in {!Int_graph} and {!Deploy} walk their node lists
-    allocating a fresh activation tensor per node per forward and sweep
+    The reference interpreter {!Int_graph.run_ref} walks the node list
+    allocating a fresh activation tensor per node per forward and sweeps
     the activations again for every elementwise epilogue.  A plan
     compiles the same computation, for one concrete input shape, into:
 
@@ -18,9 +18,9 @@
       workers share the plan but never a buffer, and a steady-state
       forward allocates only its returned logits.
 
-    Planned execution is bit-identical to the reference interpreters
-    ([Int_graph.run_ref] / [Deploy.forward_ref]); the test-suite checks
-    this exhaustively over random graphs. *)
+    Planned execution is bit-identical to the reference interpreter
+    [Int_graph.run_ref]; the test-suite checks this exhaustively over
+    random graphs. *)
 
 module Tensor = Twq_tensor.Tensor
 module Itensor = Twq_tensor.Itensor

@@ -1,8 +1,9 @@
 (* A servable artifact: either a linear Deploy net or a quantized
-   Int_graph.  Both take a float NCHW batch (quantized internally at the
-   recorded input scale) and return float logits [n; classes]; every
-   per-sample computation is independent of the batch dimension, which is
-   what lets the dynamic batcher promise bit-identical results. *)
+   Int_graph; a net runs as the integer graph it holds.  Both take a
+   float NCHW batch (quantized internally at the recorded input scale)
+   and return float logits [n; classes]; every per-sample computation is
+   independent of the batch dimension, which is what lets the dynamic
+   batcher promise bit-identical results. *)
 
 module Tensor = Twq_tensor.Tensor
 module Deploy = Twq_nn.Deploy
@@ -35,8 +36,9 @@ let of_string s =
       | exception Failure msg -> Error msg)
   | m -> Error (Printf.sprintf "unknown model magic %S" m)
 
-let run_batch t x =
-  match t with Net d -> Deploy.forward d x | Graph g -> Int_graph.run g x
+let graph = function Net d -> Deploy.graph d | Graph g -> g
+
+let run_batch t x = Int_graph.run (graph t) x
 
 (* Compile the execution plans for the batch shapes the server will
    actually dispatch, so no request ever pays for planning.  Plan
@@ -44,12 +46,7 @@ let run_batch t x =
    packed when the artifact was loaded), so warming even a dozen batch
    sizes is milliseconds. *)
 let warm t ~input_dims ~batch_sizes =
-  let plan_cache =
-    match t with
-    | Net d -> Some (Deploy.plans d)
-    | Graph g -> Int_graph.plans g
-  in
-  match plan_cache with
+  match Int_graph.plans (graph t) with
   | None -> ()
   | Some c ->
       List.iter

@@ -1,5 +1,6 @@
 (** A servable model artifact: a {!Twq_nn.Deploy} net or a
-    {!Twq_nn.Int_graph} integer graph.
+    {!Twq_nn.Int_graph} integer graph.  A net keeps its own file format
+    but runs as the integer graph it holds ({!Twq_nn.Deploy.graph}).
 
     Both run batched: a float NCHW input [n; c; h; w] yields float logits
     [n; classes], and each output row depends only on its own input row —

@@ -132,21 +132,10 @@ val conv2d_f32 :
 (** Tap-major Winograd convolution (stride 1, no bias): NCHW [x] against
     [\[cout; cin; r; r\]] weights.  The per-tap GEMMs run through
     {!Microkernel} over register-block-packed panels; per
-    (tile, tap, co) the accumulation order is unchanged (ascending [ci],
-    left-associated), so outputs equal {!conv2d_f32_ref} — and hence the
-    tile-major reference ({!Conv.conv2d_ref} / {!Gconv.conv2d_ref}) —
-    element for element under [=] (zero signs may differ: the reference
-    skips products whose input tap is exactly 0.0, the microkernel does
-    not). *)
-
-val conv2d_f32_ref :
-  float kernel ->
-  pad:int ->
-  x:Twq_tensor.Tensor.t ->
-  w:Twq_tensor.Tensor.t ->
-  Twq_tensor.Tensor.t
-(** Naive triple-loop tap-major driver, kept as the oracle for
-    {!conv2d_f32} (and paired [-naive] bench rows). *)
+    (tile, tap, co) the accumulation order is the tile-major one
+    (ascending [ci], left-associated), so outputs equal the tile-major
+    reference ({!Conv.conv2d_ref} / {!Gconv.conv2d_ref}) element for
+    element under [=] (which does not tell the two zero signs apart). *)
 
 val conv2d_i32_exact :
   ?epilogue:epilogue ->
@@ -162,20 +151,8 @@ val conv2d_i32_exact :
     (bt_scale·g_scale·at_scale)²] and divided back down, exactly as
     {!Conv.conv2d_int_bit_true_ref}.  The per-tap GEMMs run through
     {!Microkernel}; integer addition is associative so the packed path
-    is unconditionally bit-identical to {!conv2d_i32_exact_ref}.
+    is unconditionally bit-identical to that tile-major reference.
     [epilogue] fuses the elementwise post-processing into the output
     write loop; [out] writes into a caller-provided [\[n; cout; ho; wo\]]
     tensor (planner arena buffers) instead of allocating — the returned
     tensor is [out] itself. *)
-
-val conv2d_i32_exact_ref :
-  ?epilogue:epilogue ->
-  ?out:Twq_tensor.Itensor.t ->
-  int kernel ->
-  scale2:int ->
-  pad:int ->
-  x:Twq_tensor.Itensor.t ->
-  w:Twq_tensor.Itensor.t ->
-  Twq_tensor.Itensor.t
-(** Naive triple-loop tap-major driver, kept as the bit-identity oracle
-    for {!conv2d_i32_exact}. *)

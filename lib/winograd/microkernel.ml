@@ -27,11 +27,10 @@
    products in ascending-k order, and store once.  Splitting K into KC
    panels therefore does not change the association: the fold simply
    resumes from the stored partial.  This is exactly the accumulation
-   order of the naive triple loop, so the integer kernels are
-   bit-identical and the float kernels are IEEE-identical up to the sign
-   of zeros (the naive drivers skip products with a zero left operand;
-   the kernels do not, which can only flip a zero's sign for finite
-   inputs). *)
+   order of the naive triple loop and of the tile-major reference
+   ([Conv.conv2d_ref] sums its per-channel tap products in ascending
+   channel order from zero), so the integer kernels are bit-identical
+   and the float kernels are IEEE-identical. *)
 
 (* ------------------------------------------------------------- config *)
 

@@ -15,9 +15,7 @@
     Numerical contract: each C element is a left fold over ascending [k]
     seeded from C's current value, so KC-panel splitting does not change
     the association. The integer kernels are bit-identical to the naive
-    triple loop; the float kernels are IEEE-identical up to the sign of
-    zeros (the naive drivers skip zero left operands, the kernels do
-    not). *)
+    triple loop; the float kernels are IEEE-identical to it. *)
 
 type cfg = { mr : int; nr : int; kc : int }
 

@@ -34,7 +34,7 @@
     scales, [Cin], and the declared value ranges — otherwise construction
     fails with a typed {!error}.  Given the proof, the backend is exact:
     {!conv2d} is bit-identical to the direct integer convolution (and to
-    {!Kernels.conv2d_i32_exact_ref}) or it raises; it never silently
+    {!Conv.conv2d_int_bit_true_ref}) or it raises; it never silently
     truncates. *)
 
 type error =

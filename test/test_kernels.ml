@@ -185,7 +185,7 @@ let prop_tapwise =
       let want = Tapwise.forward_int_ref l xi in
       Itensor.equal got want)
 
-(* --------------- microkernel GEMM drivers vs naive [_ref] oracles *)
+(* ----------- microkernel GEMM drivers vs the tile-major oracles *)
 
 let with_mk_config ~mr ~nr ~kc f =
   Microkernel.set_config ~mr ~nr ~kc ();
@@ -205,7 +205,7 @@ let micro_shape_gen =
 
 let prop_micro_f32_edge =
   QCheck2.Test.make ~count:60
-    ~name:"microkernel conv2d_f32 = naive ref (edge shapes)" micro_shape_gen
+    ~name:"microkernel f32 edges = tile-major ref" micro_shape_gen
     (fun (v, cin, cout, hw, nd, seed) ->
       let rng = Twq_util.Rng.create seed in
       let pad = Twq_util.Rng.int rng 2 in
@@ -215,12 +215,12 @@ let prop_micro_f32_edge =
       in
       let wt = tensor_of_rng rng [| cout; cin; 3; 3 |] in
       let got = with_domains nd (fun () -> Kernels.conv2d_f32 k ~pad ~x ~w:wt) in
-      let want = Kernels.conv2d_f32_ref k ~pad ~x ~w:wt in
+      let want = Conv.conv2d_ref ~variant:v ~pad ~x ~w:wt () in
       float_eq got want)
 
 let prop_micro_int_edge =
   QCheck2.Test.make ~count:60
-    ~name:"microkernel conv2d_i32_exact = naive ref (edge shapes)"
+    ~name:"microkernel int edges = tile-major ref"
     micro_shape_gen
     (fun (v, cin, cout, hw, nd, seed) ->
       let rng = Twq_util.Rng.create seed in
@@ -235,7 +235,7 @@ let prop_micro_int_edge =
         with_domains nd (fun () ->
             Kernels.conv2d_i32_exact k ~scale2 ~pad ~x ~w:wt)
       in
-      let want = Kernels.conv2d_i32_exact_ref k ~scale2 ~pad ~x ~w:wt in
+      let want = Conv.conv2d_int_bit_true_ref ~variant:v ~pad ~x ~w:wt () in
       Itensor.equal got want)
 
 (* Every register-block configuration — the specialized MRx4 and MRx8
@@ -246,28 +246,61 @@ let mk_config_sweep =
   [ (4, 4, 256); (3, 4, 8); (2, 4, 16); (1, 4, 256); (4, 2, 8); (5, 5, 32);
     (1, 1, 8); (4, 8, 256); (3, 8, 8); (2, 8, 16); (1, 8, 256) ]
 
+(* Constructed worst cases for the exact integer path: x ≡ +127 against
+   w ≡ ±127, and a ±127 spatial checkerboard x.  Images are 2t wide, so
+   interior tiles see a full window of ±127.  The channel counts drive
+   the per-tap Winograd-domain accumulator past 2³¹, out of reach of an
+   int32 accumulator: F2 4096 × 580,644 ≈ 2.4·10⁹, F4 32 × 83,612,736
+   ≈ 2.7·10⁹, F6 64 × 1.9·10¹⁰ ≈ 2⁴⁰ (≈ 2⁵⁰ after the output
+   transform, before the exact division by scale²). *)
+let extreme_int_cases =
+  List.concat_map
+    (fun (v, cin) ->
+      let t = Transform.t v in
+      let xshape = [| 1; cin; 2 * t; (2 * t) + 1 |] in
+      let wshape = [| 2; cin; 3; 3 |] in
+      let const c shape = Itensor.init shape (fun _ -> c) in
+      let checker =
+        Itensor.init xshape (fun i ->
+            if (i.(2) + i.(3)) land 1 = 0 then 127 else -127)
+      in
+      let name = Transform.name v in
+      [
+        (name ^ " x=+127 w=+127", v, const 127 xshape, const 127 wshape);
+        (name ^ " x=+127 w=-127", v, const 127 xshape, const (-127) wshape);
+        (name ^ " checkerboard x w=+127", v, checker, const 127 wshape);
+      ])
+    [ (Transform.F2, 4096); (Transform.F4, 32); (Transform.F6, 64) ]
+
 let test_micro_config_sweep_int () =
   let rng = Twq_util.Rng.create 99 in
-  let x = itensor_of_rng rng [| 1; 17; 8; 9 |] in
-  let wt = itensor_of_rng rng [| 7; 17; 3; 3 |] in
-  let k = Kernels.i32_specialized Transform.F4 in
-  let scale2 = scale2_of Transform.F4 in
-  let want = Kernels.conv2d_i32_exact_ref k ~scale2 ~pad:1 ~x ~w:wt in
+  let random =
+    ( "F4 random",
+      Transform.F4,
+      itensor_of_rng rng [| 1; 17; 8; 9 |],
+      itensor_of_rng rng [| 7; 17; 3; 3 |] )
+  in
   List.iter
-    (fun (mr, nr, kc) ->
-      with_mk_config ~mr ~nr ~kc (fun () ->
-          let got = Kernels.conv2d_i32_exact k ~scale2 ~pad:1 ~x ~w:wt in
-          Alcotest.(check bool)
-            (Printf.sprintf "mr=%d nr=%d kc=%d" mr nr kc)
-            true (Itensor.equal got want)))
-    mk_config_sweep
+    (fun (case, v, x, wt) ->
+      let k = Kernels.i32_specialized v in
+      let scale2 = scale2_of v in
+      let want = Conv.conv2d_int_bit_true_ref ~variant:v ~pad:1 ~x ~w:wt () in
+      List.iter
+        (fun (mr, nr, kc) ->
+          with_mk_config ~mr ~nr ~kc (fun () ->
+              let got = Kernels.conv2d_i32_exact k ~scale2 ~pad:1 ~x ~w:wt in
+              Alcotest.(check bool)
+                (Printf.sprintf "%s mr=%d nr=%d kc=%d" case mr nr kc)
+                true (Itensor.equal got want)))
+        mk_config_sweep)
+    (random :: extreme_int_cases)
 
 let test_micro_config_sweep_f32 () =
   let rng = Twq_util.Rng.create 100 in
   let x = tensor_of_rng rng [| 1; 17; 8; 9 |] in
   let wt = tensor_of_rng rng [| 7; 17; 3; 3 |] in
   let k = Kernels.f32_specialized Transform.F4 in
-  let want = Kernels.conv2d_f32_ref k ~pad:1 ~x ~w:wt in
+  let want = Conv.conv2d_ref ~variant:Transform.F4 ~pad:1 ~x ~w:wt () in
   List.iter
     (fun (mr, nr, kc) ->
       with_mk_config ~mr ~nr ~kc (fun () ->

@@ -241,15 +241,16 @@ let test_deploy_planned_matches_ref () =
   let rng = Rng.create 22 in
   let cal = Tensor.rand_gaussian rng [| 2; 3; 12; 12 |] ~mu:0.0 ~sigma:1.0 in
   let net = Deploy.export model ~calibration:cal () in
+  let g = Deploy.graph net in
   let x = Tensor.rand_gaussian rng [| 3; 3; 12; 12 |] ~mu:0.0 ~sigma:1.0 in
-  Alcotest.check tensor_exact "planned forward == forward_ref"
-    (Deploy.forward_ref net x) (Deploy.forward net x);
+  Alcotest.check tensor_exact "planned forward == run_ref"
+    (Int_graph.run_ref g x) (Deploy.forward net x);
   Parallel.set_num_domains 4;
   let par = Deploy.forward net x in
   Parallel.clear_num_domains_override ();
-  Alcotest.check tensor_exact "planned forward (4 domains) == forward_ref"
-    (Deploy.forward_ref net x) par;
-  let p = Plan.plan (Deploy.plans net) ~input_shape:x.Tensor.shape in
+  Alcotest.check tensor_exact "planned forward (4 domains) == run_ref"
+    (Int_graph.run_ref g x) par;
+  let p = Plan.plan (Option.get (Int_graph.plans g)) ~input_shape:x.Tensor.shape in
   check_no_live_aliasing p;
   Alcotest.(check bool)
     (Printf.sprintf "vgg fuses its relus (%d)" (Plan.fused_epilogues p))
@@ -264,7 +265,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_planned_matches_interpreter;
           Alcotest.test_case "resnet20 planned == run_ref" `Quick
             test_resnet20_bit_identical;
-          Alcotest.test_case "deploy planned == forward_ref" `Quick
+          Alcotest.test_case "deploy planned == run_ref" `Quick
             test_deploy_planned_matches_ref;
         ] );
       ( "planner",

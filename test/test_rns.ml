@@ -1,5 +1,5 @@
 (* Bit-exactness of the RNS Winograd backend against the direct integer
-   convolution (and the packed exact-int oracle), the typed range-proof
+   convolution (and the tile-major bit-true oracle), the typed range-proof
    rejections, basis suggestion, and the runtime range contract. *)
 
 module Parallel = Twq_util.Parallel
@@ -68,8 +68,8 @@ let prop_f6_bit_exact =
             (direct_conv_int ~r:3 ~pad x wt)
             (Rns.conv2d plan ~pad ~x ~w:wt ())))
 
-(* Same plan, checked against the packed exact-int tap-major oracle. *)
-let test_f6_matches_i32_exact_ref () =
+(* Same plan, checked against the tile-major bit-true integer oracle. *)
+let test_f6_matches_bit_true_ref () =
   let rng = Rng.create 42 in
   let cin = 3 and cout = 5 in
   let x = itensor_of_rng rng [| 2; cin; 13; 11 |] 4 in
@@ -77,14 +77,10 @@ let test_f6_matches_i32_exact_ref () =
   let plan =
     Rns.plan_exn ~m:6 ~r:3 ~basis:[ 8191; 8179; 8171 ] ~cin ~xmax:4 ~wmax:4 ()
   in
-  let k6 = Kernels.i32_specialized Transform.F6 in
-  let s =
-    Transform.bt_scale Transform.F6
-    * Transform.g_scale Transform.F6
-    * Transform.at_scale Transform.F6
+  let oracle =
+    Conv.conv2d_int_bit_true_ref ~variant:Transform.F6 ~pad:1 ~x ~w ()
   in
-  let oracle = Kernels.conv2d_i32_exact_ref k6 ~scale2:(s * s) ~pad:1 ~x ~w in
-  Alcotest.check itensor "F6 rns == i32_exact_ref" oracle
+  Alcotest.check itensor "F6 rns == bit-true ref" oracle
     (Rns.conv2d plan ~pad:1 ~x ~w ())
 
 (* ------------------------------------------- other tiles / other bases *)
@@ -218,8 +214,8 @@ let () =
       ( "bit-exact",
         [
           qt prop_f6_bit_exact;
-          Alcotest.test_case "F6 vs i32_exact_ref" `Quick
-            test_f6_matches_i32_exact_ref;
+          Alcotest.test_case "F6 vs bit-true ref" `Quick
+            test_f6_matches_bit_true_ref;
           qt prop_f2_full_int8_two_moduli;
           Alcotest.test_case "F4 paper basis" `Quick test_f4_paper_basis;
         ] );

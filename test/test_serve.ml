@@ -414,12 +414,13 @@ let test_registry_hot_swap () =
 (* Hot-swapping must leave the server with compiled plans for the new
    artifact: the initial model is warmed at [start], a swapped-in model
    at its first batch — after that no request plans anything. *)
-let plan_shapes = function
-  | Model.Graph g -> (
-      match Twq_nn.Int_graph.plans g with
-      | Some c -> Twq_nn.Plan.cached_shapes c
-      | None -> [])
-  | Model.Net d -> Twq_nn.Plan.cached_shapes (Twq_nn.Deploy.plans d)
+let plan_shapes m =
+  let g =
+    match m with Model.Graph g -> g | Model.Net d -> Twq_nn.Deploy.graph d
+  in
+  match Twq_nn.Int_graph.plans g with
+  | Some c -> Twq_nn.Plan.cached_shapes c
+  | None -> []
 
 let test_hot_swap_rebuilds_plans () =
   with_registry (fun dir ->
